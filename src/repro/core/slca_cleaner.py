@@ -9,56 +9,35 @@ every keyword.  Scoring stays Eq. 8/9 with those entities:
 where N_C = |SLCA(C)| (every SLCA entity contains all keywords by
 definition, so none is dropped).
 
-The algorithm reuses Algorithm 1's group machinery: anchors, minimal
-depth d, skipping, and single-pass list access.  SLCAs are computed
-*within* each depth-d group; connections that exist only above depth d
-are deliberately excluded — the same "connected only through the root
-is not meaningful" argument of Section V-B.  The paper notes this
-semantics works as well as node types on data-centric DBLP but worse on
+The suggester is :class:`~repro.core.cleaner.XCleanSuggester` with a
+different per-group scorer: the same Algorithm 1 pass (anchors, minimal
+depth d, skipping, plan cache) feeds each complete group to
+:meth:`SLCACleanSuggester._score_group_packed`, which computes the
+candidate's SLCAs *within* the group and accumulates their mass and
+count.  Connections that exist only above depth d are deliberately
+excluded — the same "connected only through the root is not
+meaningful" argument of Section V-B.  The paper notes this semantics
+works as well as node types on data-centric DBLP but worse on
 document-centric INEX, which the ablation benchmark reproduces.
 """
 
 from __future__ import annotations
 
 from repro.core.candidates import CandidateQuery, CandidateSpace
-from repro.core.config import XCleanConfig
-from repro.core.error_model import ErrorModel, ExponentialErrorModel
-from repro.core.language_model import DirichletLanguageModel
+from repro.core.cleaner import XCleanSuggester
+from repro.core.pruning import AccumulatorPool
 from repro.core.suggestion import CleaningStats, Suggestion
-from repro.exceptions import QueryError
-from repro.fastss.generator import VariantGenerator
-from repro.index.corpus import CorpusIndex
-from repro.index.merged_list import MergedEntry, MergedList
+from repro.index.merged_list import PackedEntry
 from repro.slca.elca import elca
 from repro.slca.multiway import slca
 from repro.xmltree.dewey import DeweyCode
 
 
-class SLCACleanSuggester:
+class SLCACleanSuggester(XCleanSuggester):
     """Top-k query cleaning with SLCA entity semantics."""
 
     #: Display label used in Suggestion.result_type.
     semantics_label = "SLCA"
-
-    def __init__(
-        self,
-        corpus: CorpusIndex,
-        generator: VariantGenerator | None = None,
-        error_model: ErrorModel | None = None,
-        config: XCleanConfig | None = None,
-    ):
-        self.corpus = corpus
-        self.config = config or XCleanConfig()
-        self.generator = generator or VariantGenerator(
-            corpus.vocabulary.tokens(), max_errors=self.config.max_errors
-        )
-        self.error_model = error_model or ExponentialErrorModel(
-            self.config.beta
-        )
-        self.language_model = DirichletLanguageModel(
-            corpus.vocabulary, self.config.mu
-        )
-        self.last_stats = CleaningStats()
 
     def suggest(self, query: str, k: int = 10) -> list[Suggestion]:
         """Top-k alternative queries under SLCA semantics."""
@@ -75,65 +54,18 @@ class SLCACleanSuggester:
 
     def score_all(self, query: str) -> dict[CandidateQuery, float]:
         """Scores of all candidates with at least one SLCA entity."""
-        keywords = self.corpus.tokenizer.tokenize(query)
-        if not keywords:
-            raise QueryError(f"query {query!r} has no usable keywords")
-        space = CandidateSpace(
-            keywords, self.generator, self.error_model,
-            self.config.max_errors,
-        )
-        stats = CleaningStats(
-            keywords=len(keywords), space_size=space.space_size()
-        )
-        self.last_stats = stats
-        if not space.is_viable:
-            return {}
-
-        merged = [
-            self.corpus.merged_list(space.variant_tokens(i))
-            for i in range(len(keywords))
-        ]
-        min_depth = self.config.min_depth
-        mass: dict[CandidateQuery, float] = {}
-        entity_counts: dict[CandidateQuery, int] = {}
-
-        while True:
-            anchor = None
-            exhausted = False
-            for ml in merged:
-                head = ml.head_dewey()
-                if head is None:
-                    exhausted = True
-                    break
-                if anchor is None or head > anchor:
-                    anchor = head
-            if exhausted or anchor is None:
-                break
-            if len(anchor) < min_depth:
-                self._consume_shallow(merged, anchor)
-                continue
-            group = anchor[:min_depth]
-            occurrences = self._collect_group(merged, group)
-            if occurrences is None:
-                continue
-            stats.groups_processed += 1
-            self._score_group(
-                occurrences, space, mass, entity_counts, stats
-            )
-
-        stats.postings_read = sum(ml.total_reads for ml in merged)
-        stats.postings_skipped = sum(ml.total_skips for ml in merged)
+        self._run(query)
         return {
-            candidate: space.error_weight(candidate)
-            * total
-            / entity_counts[candidate]
-            for candidate, total in mass.items()
-            if entity_counts[candidate]
+            candidate: error_weight * total / count
+            for candidate, (total, count, error_weight)
+            in self._tables.items()
         }
 
-    # ------------------------------------------------------------------
-    # Internals (group machinery shared in spirit with XCleanSuggester)
-    # ------------------------------------------------------------------
+    def _run_inner(self, query: str) -> AccumulatorPool:
+        #: candidate -> [mass, entity count, error weight]; filled by
+        #: the per-group scorer during one Algorithm 1 pass.
+        self._tables: dict[CandidateQuery, list] = {}
+        return super()._run_inner(query)
 
     def _entities(
         self, lists: list[list[DeweyCode]]
@@ -141,68 +73,66 @@ class SLCACleanSuggester:
         """Entity roots of one candidate within the current group."""
         return slca(lists)
 
-    def _consume_shallow(
-        self, merged: list[MergedList], anchor: DeweyCode
-    ) -> None:
-        for ml in merged:
-            if ml.head_dewey() == anchor:
-                ml.next()
-                return
-
-    def _collect_group(
-        self, merged: list[MergedList], group: DeweyCode
-    ) -> list[dict[str, list[MergedEntry]]] | None:
-        occurrences: list[dict[str, list[MergedEntry]]] = []
-        missing = False
-        for ml in merged:
-            by_token: dict[str, list[MergedEntry]] = {}
-            ml.skip_to(group)
-            for entry in ml.pop_subtree(group):
-                by_token.setdefault(entry[3], []).append(entry)
-            if not by_token:
-                missing = True
-            occurrences.append(by_token)
-        return None if missing else occurrences
-
-    def _score_group(
+    def _score_group_packed(
         self,
-        occurrences: list[dict[str, list[MergedEntry]]],
+        occurrences: list[dict[str, list[PackedEntry]]],
         space: CandidateSpace,
-        mass: dict[CandidateQuery, float],
-        entity_counts: dict[CandidateQuery, int],
+        pool: AccumulatorPool,
         stats: CleaningStats,
+        view,
+        group: int,
     ) -> None:
+        """Score the group's candidates over their SLCA entities.
+
+        The accumulator ``pool`` is unused: SLCA masses are never
+        γ-bounded, they accumulate in the per-query ``_tables``.
+        """
+        unpack = view.packer.unpack
+        subtree_length = self.corpus.subtree_length
+        probability = self.language_model.probability
+        tables = self._tables
+        unpacked: dict[tuple[int, str], tuple[list, list]] = {}
         present = [list(by_token) for by_token in occurrences]
         for candidate in space.enumerate_present(present):
             stats.candidates_evaluated += 1
-            lists = [
-                [e[0] for e in occurrences[pos][token]]
-                for pos, token in enumerate(candidate)
-            ]
-            entities = self._entities(lists)
+            columns = []
+            for position, token in enumerate(candidate):
+                key = (position, token)
+                found = unpacked.get(key)
+                if found is None:
+                    entries = occurrences[position][token]
+                    found = (
+                        [unpack(entry[0]) for entry in entries],
+                        [entry[2] for entry in entries],
+                    )
+                    unpacked[key] = found
+                columns.append(found)
+            entities = self._entities([deweys for deweys, _ in columns])
             if not entities:
                 continue
             total = 0.0
             for root in entities:
                 stats.entities_scored += 1
-                length = self.corpus.subtree_length(root)
+                length = subtree_length(root)
+                depth = len(root)
                 product = 1.0
                 for position, token in enumerate(candidate):
+                    deweys, tfs = columns[position]
                     count = sum(
                         tf
-                        for dewey, _pid, tf, _tok in occurrences[position][
-                            token
-                        ]
-                        if dewey[: len(root)] == root
+                        for dewey, tf in zip(deweys, tfs)
+                        if dewey[:depth] == root
                     )
-                    product *= self.language_model.probability(
-                        token, count, length
-                    )
+                    product *= probability(token, count, length)
                 total += product
-            mass[candidate] = mass.get(candidate, 0.0) + total
-            entity_counts[candidate] = (
-                entity_counts.get(candidate, 0) + len(entities)
-            )
+            entry = tables.get(candidate)
+            if entry is None:
+                tables[candidate] = [
+                    total, len(entities), space.error_weight(candidate)
+                ]
+            else:
+                entry[0] += total
+                entry[1] += len(entities)
 
 
 class ELCACleanSuggester(SLCACleanSuggester):

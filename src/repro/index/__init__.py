@@ -6,13 +6,12 @@ index that feeds result-type inference.
 """
 
 from repro.index.corpus import CorpusIndex, build_corpus_index
-from repro.index.inverted import (
-    InvertedIndex,
-    InvertedList,
-    ListCursor,
-    Posting,
+from repro.index.inverted import InvertedIndex, InvertedList, Posting
+from repro.index.merged_list import (
+    PackedEntry,
+    PackedMergedColumns,
+    PackedMergedList,
 )
-from repro.index.merged_list import MergedEntry, MergedList
 from repro.index.path_index import (
     PathIndex,
     build_path_index,
@@ -37,9 +36,9 @@ __all__ = [
     "DEFAULT_STOPWORDS",
     "InvertedIndex",
     "InvertedList",
-    "ListCursor",
-    "MergedEntry",
-    "MergedList",
+    "PackedEntry",
+    "PackedMergedColumns",
+    "PackedMergedList",
     "PathIndex",
     "Posting",
     "Tokenizer",

@@ -13,8 +13,8 @@ subtree operations on top of it:
   normalizers — plus a tombstone set masking deleted base postings;
 * :class:`DeltaOverlayCorpus` exposes the merged view through the
   standard :class:`~repro.index.corpus.QueryEngineMixin` surface, so
-  the tuple engine, the packed classic loop, and the merge kernel all
-  consume it unchanged via ``merged_list`` / ``merged_list_packed``.
+  Algorithm 1's merge loop consumes it unchanged via
+  ``merged_list_packed``.
 
 **Dewey stability.**  Updates must not renumber nodes the base index
 already refers to.  ``add`` therefore appends as the last child, and
@@ -28,7 +28,7 @@ corpus is the applied logical document, placeholders included.
 **Exactness.**  Every statistic the XClean scoring path reads is
 adjusted exactly, so overlay top-k results are byte-identical to a
 from-scratch rebuild of the applied document (the crash-recovery tests
-assert this across engines, kernel modes, and shard counts).  The one
+assert this with and without skipping, and across shard counts).  The one
 documented approximation is the PY08 baseline's ``max_relative_tf``:
 a delete cannot lower a base maximum without a global scan, so the
 overlay only ever raises it; compaction restores the exact value.

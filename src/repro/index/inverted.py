@@ -5,15 +5,14 @@ posting is the tuple ``(dewey, path_id, tf)``: the Dewey code of the
 *leaf* node that directly contains the token, the interned id of its
 label path, and the token's frequency in that node.
 
-Lists support positional cursors with ``skip_to`` implemented by
-exponential (galloping) search followed by binary search, which is what
-lets Algorithm 1 jump over whole subtrees that cannot contribute.
+The query engine reads the packed (columnar) form of each list; the
+merged variant columns built from them (``index/merged_list``) are what
+Algorithm 1 gallops over to jump whole subtrees that cannot contribute.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from typing import Iterator, Sequence
 
 from repro.xmltree.dewey import DeweyCode
@@ -45,28 +44,6 @@ class InvertedList:
 
     def __getitem__(self, index: int) -> Posting:
         return self.postings[index]
-
-    def first_at_or_after(self, dewey: DeweyCode, start: int = 0) -> int:
-        """Index of the first posting with code >= ``dewey``.
-
-        Uses galloping search from ``start`` (the cursor position), so a
-        sequence of increasing ``skip_to`` targets costs O(log gap) each
-        rather than O(log n).
-        Returns ``len(self)`` when every remaining posting is smaller.
-        """
-        postings = self.postings
-        n = len(postings)
-        if start >= n or postings[start][0] >= dewey:
-            return start
-        # Gallop: find a window [lo, hi) with postings[lo] < dewey <= hi.
-        step = 1
-        lo = start
-        hi = start + 1
-        while hi < n and postings[hi][0] < dewey:
-            lo = hi
-            step *= 2
-            hi = min(n, hi + step)
-        return bisect_left(postings, dewey, lo + 1, hi, key=lambda p: p[0])
 
 
 class InvertedIndex:
@@ -104,65 +81,20 @@ class InvertedIndex:
         return sum(len(lst) for lst in self._lists.values())
 
 
-class ListCursor:
-    """A read cursor over one inverted list.
-
-    Tracks the current position and the number of postings actually
-    *read* versus *skipped*, which the ablation benchmarks use to show
-    the effect of Algorithm 1's skipping.
-    """
-
-    __slots__ = ("source", "position", "reads", "skips", "_postings",
-                 "_length")
-
-    def __init__(self, source: InvertedList):
-        self.source = source
-        self.position = 0
-        self.reads = 0
-        self.skips = 0
-        # Hot-path locals: cursor operations run once per posting.
-        self._postings = source.postings
-        self._length = len(source.postings)
-
-    def exhausted(self) -> bool:
-        return self.position >= self._length
-
-    def current(self) -> Posting | None:
-        """Posting under the cursor, or ``None`` when exhausted."""
-        if self.position >= self._length:
-            return None
-        return self._postings[self.position]
-
-    def advance(self) -> Posting | None:
-        """Return the current posting and move one step forward."""
-        posting = self.current()
-        if posting is not None:
-            self.position += 1
-            self.reads += 1
-        return posting
-
-    def skip_to(self, dewey: DeweyCode) -> Posting | None:
-        """Discard postings with code < ``dewey``; return the new head."""
-        new_position = self.source.first_at_or_after(dewey, self.position)
-        self.skips += new_position - self.position
-        self.position = new_position
-        return self.current()
-
-
 # ----------------------------------------------------------------------
 # Columnar (packed) posting lists — the fast query engine
 # ----------------------------------------------------------------------
 #
-# The tuple-based classes above are the reference implementation; the
-# packed classes below store the same postings as three parallel columns
-# so the hot operations run on machine integers:
+# The tuple-based classes above are the build-time form; the packed
+# class below stores the same postings as three parallel columns so the
+# hot operations run on machine integers:
 #
 # * ``keys``  — packed Dewey codes (``array('q')`` when they fit in 64
 #   bits, else a plain list of big ints), numerically document-ordered;
 # * ``path_ids`` / ``tfs`` — ``array('i')`` side columns.
 #
-# ``skip_to`` gallops over the int column with C-level ``bisect`` (no
-# ``key=`` extractor), and the merged list's heap holds plain ints.
+# Skips gallop over the int column with C-level ``bisect`` (no ``key=``
+# extractor).
 
 
 class PackedInvertedList:
@@ -200,53 +132,3 @@ class PackedInvertedList:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def first_at_or_after(self, key: int, start: int = 0) -> int:
-        """Index of the first posting with packed key >= ``key``.
-
-        Same galloping-then-binary contract as
-        :meth:`InvertedList.first_at_or_after`, but over an int column.
-        """
-        keys = self.keys
-        n = len(keys)
-        if start >= n or keys[start] >= key:
-            return start
-        step = 1
-        lo = start
-        hi = start + 1
-        while hi < n and keys[hi] < key:
-            lo = hi
-            step *= 2
-            hi = min(n, hi + step)
-        return bisect_left(keys, key, lo + 1, hi)
-
-
-class PackedListCursor:
-    """Read cursor over one packed list (mirrors :class:`ListCursor`)."""
-
-    __slots__ = ("source", "position", "reads", "skips", "_keys",
-                 "_length")
-
-    def __init__(self, source: PackedInvertedList):
-        self.source = source
-        self.position = 0
-        self.reads = 0
-        self.skips = 0
-        self._keys = source.keys
-        self._length = len(source.keys)
-
-    def exhausted(self) -> bool:
-        return self.position >= self._length
-
-    def head_key(self) -> int | None:
-        """Packed key under the cursor, or ``None`` when exhausted."""
-        if self.position >= self._length:
-            return None
-        return self._keys[self.position]
-
-    def skip_to(self, key: int) -> int | None:
-        """Discard postings with key < ``key``; return the new head."""
-        new_position = self.source.first_at_or_after(key, self.position)
-        self.skips += new_position - self.position
-        self.position = new_position
-        return self.head_key()

@@ -1,10 +1,9 @@
 """The batch merge kernel: galloping intersection over packed columns.
 
-Algorithm 1's merge loop repeatedly asks one question of every merged
-variant list: *where does the current subtree group start and end in
-your key column?*  The classic packed loop answers with a full-range
-``bisect_left`` per probe; this module supplies the two layers that
-make the question (almost) free:
+Algorithm 1's merge loop (``XCleanSuggester._merge_loop_kernel``)
+repeatedly asks one question of every merged variant list: *where does
+the current subtree group start and end in your key column?*  This
+module supplies the two layers that make the question (almost) free:
 
 * :func:`gallop_left` — an exponential-probe ("galloping") search that
   brackets the target from the cursor's current position before handing

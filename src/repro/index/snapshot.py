@@ -922,12 +922,11 @@ class SnapshotPackedIndex:
 
 
 class _LazyInvertedIndex:
-    """Tuple-engine compatibility over the packed posting sections.
+    """Tuple-posting view over the packed posting sections.
 
-    The packed engine never touches this; the reference tuple engine
-    (``XCleanConfig.engine == "tuple"``) and a few offline consumers
-    do, so lists are unpacked *per requested token*, on demand, and
-    memoized.
+    The query engine never touches this; offline consumers (the naive
+    oracle, the PY08 baseline, re-indexing) do, so lists are unpacked
+    *per requested token*, on demand, and memoized.
     """
 
     __slots__ = ("_packed", "_memo")
@@ -1142,7 +1141,7 @@ class SnapshotCorpusIndex(QueryEngineMixin):
 
     @property
     def inverted(self) -> _LazyInvertedIndex:
-        """Tuple-engine shim; packed queries never touch it."""
+        """Tuple-posting shim; packed queries never touch it."""
         found = self._inverted
         if found is None:
             found = _LazyInvertedIndex(self._packed_index)

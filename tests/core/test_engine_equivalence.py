@@ -1,55 +1,61 @@
-"""Packed engine ≡ tuple engine.
+"""Algorithm 1 ≡ its §V-C ablation ≡ the naive oracle.
 
-The packed (columnar, int-keyed) query path is a pure representation
-change: for any query both engines must return the same top-k
-suggestions — same candidate tokens, same result types, scores within
-1e-9 (the implementation actually accumulates in identical order, so
-scores are typically bit-identical).
+The merge loop has one implementation with two cursor strategies:
+galloping skips (the default) and the ``use_skipping=False`` ablation,
+which advances one posting at a time.  For any query both must return
+the same top-k with bit-identical scores and process the same groups;
+the ablation reads every posting the skipping run either read or
+skipped.  Both must also agree with ``core/naive.py``, which scores the
+whole candidate space without grouping, skipping, or pruning (scores to
+1e-9: the naive scorer sums in a different order).
 """
-
-import dataclasses
 
 import pytest
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
+from repro.core.naive import NaiveCleaner
 from repro.eval.experiments import dblp_setting
 from repro.index.corpus import build_corpus_index
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
 
-def pair_of_suggesters(corpus, generator=None, **overrides):
-    packed = XCleanSuggester(
-        corpus,
-        generator=generator,
-        config=XCleanConfig(engine="packed", **overrides),
-    )
-    tuple_engine = XCleanSuggester(
-        corpus,
-        generator=generator,
-        config=XCleanConfig(engine="tuple", **overrides),
-    )
-    return packed, tuple_engine
-
-
-def assert_same_output(packed, tuple_engine, query, k=10):
-    fast = packed.suggest(query, k)
-    reference = tuple_engine.suggest(query, k)
-    assert [(s.tokens, s.result_type) for s in fast] == [
-        (s.tokens, s.result_type) for s in reference
+def rows(suggester, query, k=10):
+    return [
+        (s.tokens, s.score, s.result_type)
+        for s in suggester.suggest(query, k)
     ]
-    for got, want in zip(fast, reference):
-        assert got.score == pytest.approx(want.score, rel=1e-9)
-    # The merge loops must do the same amount of work, too.
-    assert (
-        packed.last_stats.postings_read
-        == tuple_engine.last_stats.postings_read
+
+
+def assert_matches_oracle(suggester, oracle, query, k=10):
+    got = rows(suggester, query, k)
+    want = rows(oracle, query, k)
+    assert [(g[0], g[2]) for g in got] == [(w[0], w[2]) for w in want]
+    for g, w in zip(got, want):
+        assert g[1] == pytest.approx(w[1], rel=1e-9)
+
+
+def assert_skipping_equivalent(corpus, query, generator=None, **overrides):
+    skipping = XCleanSuggester(
+        corpus, generator=generator, config=XCleanConfig(**overrides)
     )
-    assert (
-        packed.last_stats.groups_processed
-        == tuple_engine.last_stats.groups_processed
+    linear = XCleanSuggester(
+        corpus,
+        generator=generator,
+        config=XCleanConfig(use_skipping=False, **overrides),
     )
+    assert rows(skipping, query) == rows(linear, query)
+    fast, slow = skipping.last_stats, linear.last_stats
+    assert fast.groups_processed == slow.groups_processed
+    assert slow.postings_skipped == 0
+    assert slow.postings_read == fast.postings_read + fast.postings_skipped
+    oracle = NaiveCleaner(
+        corpus,
+        generator=generator,
+        config=XCleanConfig(**{**overrides, "gamma": None}),
+    )
+    assert_matches_oracle(skipping, oracle, query)
 
 
 class TestPaperExample:
@@ -61,32 +67,35 @@ class TestPaperExample:
         "query", ["tree icdt", "tre icd", "databas", "xml tree"]
     )
     def test_same_topk(self, corpus, query):
-        packed, tuple_engine = pair_of_suggesters(corpus, max_errors=1)
-        assert_same_output(packed, tuple_engine, query)
+        assert_skipping_equivalent(corpus, query, max_errors=1)
 
     def test_score_all_identical(self, corpus):
-        packed, tuple_engine = pair_of_suggesters(
-            corpus, max_errors=1, gamma=None
+        config = XCleanConfig(max_errors=1, gamma=None)
+        skipping = XCleanSuggester(corpus, config=config)
+        linear = XCleanSuggester(
+            corpus, config=XCleanConfig(
+                max_errors=1, gamma=None, use_skipping=False
+            ),
         )
-        fast = packed.score_all("tree icdt")
-        reference = tuple_engine.score_all("tree icdt")
+        fast = skipping.score_all("tree icdt")
+        assert fast == linear.score_all("tree icdt")
+        reference = NaiveCleaner(corpus, config=config).score_all(
+            "tree icdt"
+        )
+        reference = {c: s for c, s in reference.items() if s > 0}
         assert set(fast) == set(reference)
         for candidate, score in fast.items():
-            assert score == pytest.approx(
-                reference[candidate], rel=1e-9
-            )
+            assert score == pytest.approx(reference[candidate], rel=1e-9)
 
     def test_length_prior_equivalent(self, corpus):
-        packed, tuple_engine = pair_of_suggesters(
-            corpus, max_errors=1, prior="length"
+        assert_skipping_equivalent(
+            corpus, "tree icdt", max_errors=1, prior="length"
         )
-        assert_same_output(packed, tuple_engine, "tree icdt")
 
     def test_no_skipping_equivalent(self, corpus):
-        packed, tuple_engine = pair_of_suggesters(
-            corpus, max_errors=1, use_skipping=False
+        assert_skipping_equivalent(
+            corpus, "tree icdt", max_errors=1, gamma=None
         )
-        assert_same_output(packed, tuple_engine, "tree icdt")
 
 
 class TestSyntheticDBLP:
@@ -94,32 +103,18 @@ class TestSyntheticDBLP:
     def setting(self):
         return dblp_setting("small")
 
-    # merge_kernel=True routes the packed engine through the batch
-    # merge kernel (galloping intersection + plan cache), False through
-    # the classic per-group bisect loop — both must match the tuple
-    # reference on every workload query.
-    @pytest.mark.parametrize("merge_kernel", [True, False])
+    @pytest.mark.parametrize("use_skipping", [True, False])
     @pytest.mark.parametrize("kind", ["CLEAN", "RAND", "RULE"])
-    def test_workload_equivalence(self, setting, kind, merge_kernel):
-        packed = XCleanSuggester(
+    def test_workload_equivalence(self, setting, kind, use_skipping):
+        suggester = XCleanSuggester(
             setting.corpus,
             generator=setting.generator.fresh_cache(),
-            config=XCleanConfig(
-                engine="packed", merge_kernel=merge_kernel
-            ),
+            config=XCleanConfig(use_skipping=use_skipping),
         )
-        tuple_engine = XCleanSuggester(
+        oracle = NaiveCleaner(
             setting.corpus,
             generator=setting.generator.fresh_cache(),
-            config=XCleanConfig(engine="tuple"),
+            config=XCleanConfig(gamma=None),
         )
         for record in setting.workloads[kind]:
-            assert_same_output(
-                packed, tuple_engine, record.dirty_text, k=10
-            )
-
-    def test_config_round_trips_engine(self):
-        config = XCleanConfig(engine="tuple")
-        assert dataclasses.replace(config, engine="packed").engine == (
-            "packed"
-        )
+            assert_matches_oracle(suggester, oracle, record.dirty_text)

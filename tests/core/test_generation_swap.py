@@ -222,14 +222,13 @@ class TestCacheEpochs:
 
     def test_merged_columns_memo_is_generation_keyed(self):
         corpus = build_corpus_index(base_document())
-        corpus.merged_list(("database", "databases"))
-        corpus.merged_list(("database", "databases"))
+        corpus.merged_list_packed(("database", "databases"))
+        corpus.merged_list_packed(("database", "databases"))
         assert corpus.merged_cache_hits == 1
         corpus.bump_generation()
-        corpus.merged_list(("database", "databases"))
+        corpus.merged_list_packed(("database", "databases"))
         assert corpus.merged_cache_hits == 1
         assert corpus.merged_cache_misses == 2
-        # Packed flavour too.
         corpus.merged_list_packed(("database",))
         corpus.bump_generation()
         corpus.merged_list_packed(("database",))

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.config import XCleanConfig
-from repro.core.slca_cleaner import SLCACleanSuggester
+from repro.core.slca_cleaner import ELCACleanSuggester, SLCACleanSuggester
+from repro.eval.experiments import dblp_setting
 from repro.exceptions import QueryError
 from repro.index.corpus import build_corpus_index
+from repro.index.snapshot import build_snapshot, load_snapshot
 from repro.xmltree.builder import paper_example_tree
 from repro.xmltree.document import XMLDocument
 
@@ -84,3 +86,36 @@ class TestStats:
         assert stats.groups_processed == 3
         assert stats.postings_read == 8
         assert stats.postings_skipped == 1
+
+
+class TestSnapshotBacked:
+    """SLCA/ELCA over a v3 snapshot answer exactly as in memory."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        return dblp_setting("small")
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, setting, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("slca") / "dblp.xcs3")
+        build_snapshot(setting.corpus, path)
+        loaded = load_snapshot(path)
+        yield loaded
+        loaded.close()
+
+    @pytest.mark.parametrize(
+        "cls", [SLCACleanSuggester, ELCACleanSuggester]
+    )
+    def test_answers_identical_to_in_memory(self, setting, snapshot, cls):
+        mapped = cls(snapshot)
+        # The snapshot's embedded FastSS buckets are reused, not rebuilt
+        # from the vocabulary.
+        assert mapped.generator._index is snapshot._fastss_index()
+        in_memory = cls(setting.corpus)
+        checked = 0
+        for kind in ("RAND", "RULE"):
+            for record in setting.workloads[kind]:
+                want = in_memory.suggest(record.dirty_text, 10)
+                assert mapped.suggest(record.dirty_text, 10) == want
+                checked += bool(want)
+        assert checked > 0

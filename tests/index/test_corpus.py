@@ -83,7 +83,7 @@ class TestVocabularyIntegration:
 
 class TestHelpers:
     def test_merged_list_skips_unknown_tokens(self, corpus):
-        merged = corpus.merged_list(["trie", "notaword"])
+        merged = corpus.merged_list_packed(["trie", "notaword"])
         assert len(merged.drain()) == 5
 
     def test_max_path_depth(self, corpus):

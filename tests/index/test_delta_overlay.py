@@ -4,8 +4,7 @@ The load-bearing invariant of live updates: after any sequence of
 subtree add/update/delete records, the overlay corpus must be
 *indistinguishable* from an index built from scratch over the applied
 logical document — same postings, same Eq. 6/8 statistics, and (the
-acceptance bar) byte-identical top-k from both engines with the merge
-kernel on and off.
+acceptance bar) byte-identical top-k.
 """
 
 import dataclasses
@@ -111,15 +110,11 @@ def overlay_over(base, document, records):
     return DeltaOverlayCorpus(base, segment), copy
 
 
-def topk(corpus, query, engine, kernel, k=5):
-    config = XCleanConfig(engine=engine, merge_kernel=kernel)
-    suggester = XCleanSuggester(corpus, config=config)
+def topk(corpus, query, k=5):
+    suggester = XCleanSuggester(corpus, config=XCleanConfig())
     return [
         dataclasses.astuple(s) for s in suggester.suggest(query, k)
     ]
-
-
-ENGINES = [("packed", True), ("packed", False), ("tuple", False)]
 
 
 class TestStatEquivalence:
@@ -223,21 +218,17 @@ class TestStatEquivalence:
 
 
 class TestSuggestionEquivalence:
-    """The acceptance bar: byte-identical top-k, all engine modes."""
+    """The acceptance bar: byte-identical top-k."""
 
-    @pytest.mark.parametrize("engine,kernel", ENGINES)
-    def test_memory_base(self, engine, kernel):
+    def test_memory_base(self):
         document = base_document()
         base = build_corpus_index(document)
         overlay, applied = overlay_over(base, document, OPS)
         reference = build_corpus_index(applied)
         for query in QUERIES:
-            assert topk(overlay, query, engine, kernel) == (
-                topk(reference, query, engine, kernel)
-            ), query
+            assert topk(overlay, query) == topk(reference, query), query
 
-    @pytest.mark.parametrize("engine,kernel", ENGINES)
-    def test_snapshot_base(self, tmp_path, engine, kernel):
+    def test_snapshot_base(self, tmp_path):
         document = base_document()
         index = build_corpus_index(document)
         path = str(tmp_path / "base.xcs3")
@@ -247,8 +238,8 @@ class TestSuggestionEquivalence:
             overlay, applied = overlay_over(base, document, OPS)
             reference = build_corpus_index(applied)
             for query in QUERIES:
-                assert topk(overlay, query, engine, kernel) == (
-                    topk(reference, query, engine, kernel)
+                assert topk(overlay, query) == topk(
+                    reference, query
                 ), query
         finally:
             base.close()
@@ -353,7 +344,7 @@ class TestVisibilitySemantics:
             subtree=node_to_json(book("zanzibar consistency", "pat")),
         )
         overlay, _ = overlay_over(base, document, [record])
-        answers = topk(overlay, "zanziber", "packed", True)
+        answers = topk(overlay, "zanziber")
         assert answers, "brand-new token must be reachable"
         assert "zanzibar" in answers[0][0]
 
@@ -364,7 +355,7 @@ class TestVisibilitySemantics:
         record = WalRecord(op="delete", dewey=(1, 1))
         overlay, _ = overlay_over(base, document, [record])
         assert overlay.inverted.get("codd") is None
-        assert not topk(overlay, "codd", "packed", True)
+        assert not topk(overlay, "codd")
 
     def test_base_postings_untouched_pass_through(self):
         document = base_document()

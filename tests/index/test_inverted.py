@@ -1,18 +1,34 @@
-"""Tests for inverted lists, cursors, and galloping skip_to."""
+"""Tests for inverted lists and where a galloping skip over them lands."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.inverted import InvertedIndex, InvertedList, ListCursor
+from repro.index.inverted import (
+    InvertedIndex,
+    InvertedList,
+    PackedInvertedList,
+)
+from repro.index.merge_kernel import gallop_left
+from repro.xmltree.dewey_packed import DeweyPacker
 
 deweys = st.lists(
     st.integers(min_value=1, max_value=5), min_size=1, max_size=5
 ).map(tuple)
 
+#: Encodes every code the strategy above can draw.
+PACKER = DeweyPacker(max_depth=5, component_bits=3)
+
 
 def make_list(codes) -> InvertedList:
     return InvertedList("tok", [(c, 0, 1) for c in codes])
+
+
+def first_at_or_after(lst: InvertedList, target, start: int = 0) -> int:
+    """Index of the first posting with code >= ``target`` from ``start``:
+    a galloping skip over the list's packed key column."""
+    packed = PackedInvertedList.from_inverted(lst, PACKER)
+    return gallop_left(packed.keys, PACKER.pack(target), start, len(packed))
 
 
 class TestInvertedList:
@@ -35,24 +51,24 @@ class TestInvertedList:
 
     def test_first_at_or_after_exact(self):
         lst = make_list([(1, 1), (1, 3), (1, 5)])
-        assert lst.first_at_or_after((1, 3)) == 1
+        assert first_at_or_after(lst, (1, 3)) == 1
 
     def test_first_at_or_after_between(self):
         lst = make_list([(1, 1), (1, 3), (1, 5)])
-        assert lst.first_at_or_after((1, 2)) == 1
+        assert first_at_or_after(lst, (1, 2)) == 1
 
     def test_first_at_or_after_past_end(self):
         lst = make_list([(1, 1)])
-        assert lst.first_at_or_after((2,)) == 1
+        assert first_at_or_after(lst, (2,)) == 1
 
     def test_first_at_or_after_from_start_position(self):
         lst = make_list([(1, 1), (1, 3), (1, 5), (1, 7)])
-        assert lst.first_at_or_after((1, 2), start=2) == 2
+        assert first_at_or_after(lst, (1, 2), start=2) == 2
 
     def test_prefix_target_before_descendants(self):
         # skip_to(1.2) must land on the first node inside subtree 1.2.
         lst = make_list([(1, 1, 1), (1, 2, 1), (1, 3, 1)])
-        assert lst.first_at_or_after((1, 2)) == 1
+        assert first_at_or_after(lst, (1, 2)) == 1
 
     @given(st.lists(deweys, min_size=0, max_size=30), deweys)
     def test_matches_linear_scan(self, codes, target):
@@ -61,47 +77,20 @@ class TestInvertedList:
         expected = next(
             (i for i, c in enumerate(codes) if c >= target), len(codes)
         )
-        assert lst.first_at_or_after(target) == expected
+        assert first_at_or_after(lst, target) == expected
 
     @given(st.lists(deweys, min_size=1, max_size=30), deweys, st.integers(0, 29))
     def test_start_position_respected(self, codes, target, start):
         codes = sorted(set(codes))
         start = min(start, len(codes))
         lst = make_list(codes)
-        result = lst.first_at_or_after(target, start)
+        result = first_at_or_after(lst, target, start)
         assert result >= start
         expected = next(
             (i for i in range(start, len(codes)) if codes[i] >= target),
             len(codes),
         )
         assert result == expected
-
-
-class TestListCursor:
-    def test_advance_reads_in_order(self):
-        cursor = ListCursor(make_list([(1,), (2,), (3,)]))
-        seen = [cursor.advance()[0] for _ in range(3)]
-        assert seen == [(1,), (2,), (3,)]
-        assert cursor.advance() is None
-        assert cursor.exhausted()
-
-    def test_skip_counts(self):
-        cursor = ListCursor(make_list([(1, 1), (1, 2), (1, 3), (2, 1)]))
-        head = cursor.skip_to((2,))
-        assert head[0] == (2, 1)
-        assert cursor.skips == 3
-        assert cursor.reads == 0
-
-    def test_skip_to_current_is_noop(self):
-        cursor = ListCursor(make_list([(1,), (2,)]))
-        cursor.skip_to((1,))
-        assert cursor.position == 0
-
-    def test_current_does_not_consume(self):
-        cursor = ListCursor(make_list([(1,)]))
-        assert cursor.current()[0] == (1,)
-        assert cursor.current()[0] == (1,)
-        assert cursor.reads == 0
 
 
 class TestInvertedIndex:

@@ -1,15 +1,14 @@
 """Tests for the columnar (packed) posting lists."""
 
 from array import array
+from bisect import bisect_left
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.inverted import (
-    InvertedList,
-    PackedInvertedList,
-    PackedListCursor,
-)
+from repro.index.inverted import InvertedList, PackedInvertedList
+from repro.index.merge_kernel import gallop_left
+from repro.index.merged_list import PackedMergedList
 from repro.xmltree.dewey_packed import DeweyPacker
 
 deweys = st.lists(
@@ -62,26 +61,32 @@ class TestFirstAtOrAfter:
         st.integers(min_value=0, max_value=10),
     )
     def test_matches_tuple_engine(self, codes, target, start):
+        # Galloping over packed keys lands where a search over the
+        # tuple codes does: packing preserves document order.
         source, packed, packer = packed_pair(codes)
         start = min(start, len(source))
-        expected = source.first_at_or_after(target, start)
+        expected = bisect_left(
+            [c for c, _p, _t in source.postings], target, start
+        )
         # The packed target may not exist in the list; size the packer
         # over it too so it is encodable.
         packer = DeweyPacker.for_codes(
             [c for c, _p, _t in source.postings] + [target]
         )
         packed = PackedInvertedList.from_inverted(source, packer)
-        got = packed.first_at_or_after(packer.pack(target), start)
+        got = gallop_left(
+            packed.keys, packer.pack(target), start, len(packed)
+        )
         assert got == expected
 
     def test_cursor_skip_counts(self):
         source, packed, packer = packed_pair(
             [(1,), (2,), (3,), (4,), (5,)]
         )
-        cursor = PackedListCursor(packed)
+        cursor = PackedMergedList([packed])
         head = cursor.skip_to(packer.pack((4,)))
-        assert head == packer.pack((4,))
+        assert head[0] == packer.pack((4,))
         assert cursor.skips == 3
-        assert not cursor.exhausted()
+        assert cursor
         assert cursor.skip_to(packer.pack((7,))) is None
-        assert cursor.exhausted()
+        assert not cursor

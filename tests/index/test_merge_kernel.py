@@ -5,9 +5,9 @@ Three layers:
 * the galloping search primitive (must agree with ``bisect_left`` on
   every sorted input);
 * the generation-keyed :class:`IntersectionCache` LRU;
-* the kernel merge loop end to end — byte-identical output against the
-  classic packed loop and the tuple reference engine, honest counters
-  across plan replays, and the in-loop γ-pruning fast path.
+* the kernel merge loop end to end — byte-identical output against
+  its linear-advance ablation, agreement with the naive oracle, honest
+  counters across plan replays, and the in-loop γ-pruning fast path.
 """
 
 from bisect import bisect_left
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
+from repro.core.naive import NaiveCleaner
 from repro.index.corpus import build_corpus_index
 from repro.index.merge_kernel import (
     GroupRun,
@@ -178,24 +179,30 @@ def output_of(sugg, query, k=10):
 
 
 def assert_kernel_equivalent(corpus, queries, **overrides):
-    """Kernel == classic (strict), == tuple (1e-9), same counters."""
+    """Kernel == linear ablation (strict), == naive oracle (1e-9).
+
+    The ``use_skipping=False`` ablation must process the same groups
+    and read every posting the skipping run read or skipped.
+    """
     kernel = suggester(corpus, **overrides)
-    classic = suggester(corpus, merge_kernel=False, **overrides)
-    reference = suggester(corpus, engine="tuple", **overrides)
+    linear = suggester(corpus, use_skipping=False, **overrides)
+    oracle = NaiveCleaner(
+        corpus, config=XCleanConfig(**{**overrides, "gamma": None})
+    )
     for query in queries:
         got = output_of(kernel, query)
-        want = output_of(classic, query)
-        assert got == want, query
-        ref = output_of(reference, query)
-        assert [g[0] for g in got] == [r[0] for r in ref], query
+        assert got == output_of(linear, query), query
+        ref = output_of(oracle, query)
+        assert [(g[0], g[2]) for g in got] == [
+            (r[0], r[2]) for r in ref
+        ], query
         for g, r in zip(got, ref):
             assert g[1] == pytest.approx(r[1], rel=1e-9), query
-        ks, cs = kernel.last_stats, classic.last_stats
-        assert ks.postings_read == cs.postings_read, query
-        assert ks.postings_skipped == cs.postings_skipped, query
-        assert ks.groups_processed == cs.groups_processed, query
+        ks, ls = kernel.last_stats, linear.last_stats
+        assert ks.groups_processed == ls.groups_processed, query
+        assert ls.postings_skipped == 0, query
         assert (
-            ks.postings_read == reference.last_stats.postings_read
+            ls.postings_read == ks.postings_read + ks.postings_skipped
         ), query
 
 
@@ -207,7 +214,7 @@ def paper_corpus():
 class TestKernelEquivalence:
     QUERIES = ["trie icde", "tree", "tria icda", "trees icde"]
 
-    def test_matches_classic_and_tuple(self, paper_corpus):
+    def test_matches_linear_ablation_and_oracle(self, paper_corpus):
         assert_kernel_equivalent(
             paper_corpus, self.QUERIES, max_errors=1
         )
@@ -227,7 +234,7 @@ class TestKernelEquivalence:
 
     def test_matches_under_length_prior(self, paper_corpus):
         # Pruning self-disables under the length prior; output must
-        # still match the classic loop exactly.
+        # still match the linear ablation exactly.
         assert_kernel_equivalent(
             paper_corpus, self.QUERIES, max_errors=1, prior="length"
         )
@@ -406,15 +413,10 @@ class TestKernelPruning:
         plain = suggester(
             corpus, max_errors=1, gamma=1, kernel_pruning=False
         )
-        classic = suggester(
-            corpus, max_errors=1, gamma=1, merge_kernel=False
-        )
         got = output_of(pruned, "book")
         assert got == output_of(plain, "book")
-        assert got == output_of(classic, "book")
         assert pruned.last_stats.kernel_pruned > 0
         assert plain.last_stats.kernel_pruned == 0
-        assert classic.last_stats.kernel_pruned == 0
 
     def test_pruned_candidates_still_counted_as_evaluated(self):
         corpus = pruning_corpus()
@@ -434,14 +436,14 @@ class TestKernelPruning:
         sugg = suggester(
             corpus, max_errors=1, gamma=1, prior="length"
         )
-        classic = suggester(
+        plain = suggester(
             corpus,
             max_errors=1,
             gamma=1,
             prior="length",
-            merge_kernel=False,
+            kernel_pruning=False,
         )
-        assert output_of(sugg, "book") == output_of(classic, "book")
+        assert output_of(sugg, "book") == output_of(plain, "book")
         assert sugg.last_stats.kernel_pruned == 0
 
     def test_prune_replays_identically(self):

@@ -35,8 +35,11 @@ def write_bench(directory, name, payload):
     return str(path)
 
 
-def hotpath(speedup, scale="default"):
-    return {"scale": scale, "merge": {"speedup": speedup}}
+def hotpath(merge_only_s, scale="default"):
+    return {
+        "scale": scale,
+        "merge": {"kernel": {"merge_only_s": merge_only_s}},
+    }
 
 
 def load_bench(p99, scale="default"):
@@ -71,7 +74,7 @@ class TestCompareDirs:
     def test_identical_results_are_ok(self, dirs):
         baseline, candidate = dirs
         for directory in dirs:
-            write_bench(directory, "BENCH_hotpath.json", hotpath(20.0))
+            write_bench(directory, "BENCH_hotpath.json", hotpath(0.02))
             write_bench(directory, "BENCH_load.json", load_bench(9.0))
             write_bench(
                 directory, "BENCH_update.json", update_bench(4.0)
@@ -81,14 +84,29 @@ class TestCompareDirs:
         assert {r["status"] for r in report["results"]} == {"ok"}
 
     def test_higher_is_better_regression(self, dirs):
+        # A 40% drop on a higher-is-better metric regresses; the same
+        # drop on a lower-is-better one is an improvement.
+        baseline = {"scale": "default", "rate": 20.0}
+        candidate = {"scale": "default", "rate": 12.0}
+        entry = compare.compare_metric(
+            baseline, candidate, "rate", "higher", "default", 0.15
+        )
+        assert entry["status"] == "regression"
+        assert entry["ratio"] == pytest.approx(0.6)
+        entry = compare.compare_metric(
+            baseline, candidate, "rate", "lower", "default", 0.15
+        )
+        assert entry["status"] == "ok"
+
+    def test_merge_stage_headline_regression(self, dirs):
         baseline, candidate = dirs
-        write_bench(baseline, "BENCH_hotpath.json", hotpath(20.0))
-        # 40% slowdown on a higher-is-better metric.
-        write_bench(candidate, "BENCH_hotpath.json", hotpath(12.0))
+        write_bench(baseline, "BENCH_hotpath.json", hotpath(0.02))
+        # 40% more merge-stage time.
+        write_bench(candidate, "BENCH_hotpath.json", hotpath(0.028))
         report = compare.compare_dirs(str(baseline), str(candidate))
         (bad,) = report["regressions"]
-        assert bad["metric"] == "merge.speedup"
-        assert bad["ratio"] == pytest.approx(0.6)
+        assert bad["metric"] == "merge.kernel.merge_only_s"
+        assert bad["ratio"] == pytest.approx(1.4)
 
     def test_lower_is_better_regression(self, dirs):
         baseline, candidate = dirs
