@@ -27,6 +27,7 @@ from repro.core.candidates import CandidateQuery, CandidateSpace
 from repro.core.cleaner import XCleanSuggester
 from repro.core.pruning import AccumulatorPool
 from repro.core.suggestion import CleaningStats, Suggestion
+from repro.exceptions import ConfigurationError
 from repro.index.merged_list import PackedEntry
 from repro.slca.elca import elca
 from repro.slca.multiway import slca
@@ -60,6 +61,29 @@ class SLCACleanSuggester(XCleanSuggester):
             for candidate, (total, count, error_weight)
             in self._tables.items()
         }
+
+    def partial_rows(self, query: str):
+        """Not supported: the shard rows are node-type accumulators.
+
+        The inherited method ships the γ-bounded node-type pool, which
+        this scorer never fills (its masses live in ``_tables``), so it
+        would report no candidates while :meth:`suggest` has answers.
+        """
+        raise ConfigurationError(
+            f"partial_rows (sharded gather) is not supported under "
+            f"{self.semantics_label} semantics; use suggest or score_all"
+        )
+
+    def suggest_explained(self, query: str, k: int = 10):
+        """Not supported: explanations record node-type scoring.
+
+        The inherited method explains the node-type pool, which this
+        scorer never fills, so it would explain no candidates.
+        """
+        raise ConfigurationError(
+            f"suggest_explained is not supported under "
+            f"{self.semantics_label} semantics; use suggest or score_all"
+        )
 
     def _run_inner(self, query: str) -> AccumulatorPool:
         #: candidate -> [mass, entity count, error weight]; filled by

@@ -5,7 +5,8 @@ keyword — every vocabulary token within edit distance ε:
 
 * :class:`FastSSIndex` — the plain scheme: index the ε-deletion
   neighborhood of every vocabulary token; probe with the query's
-  neighborhood; verify candidates with a banded edit distance.
+  neighborhood; verify candidates with a bit-parallel (Myers/Hyyrö)
+  bounded edit distance.
 
 * :class:`PartitionedFastSSIndex` — the paper's partitioned variant for
   long tokens.  Tokens longer than a threshold are split into two
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from repro.exceptions import ConfigurationError
-from repro.fastss.edit_distance import bounded_edit_distance
+from repro.fastss.edit_distance import bounded_distances
 from repro.fastss.neighborhood import deletion_neighborhood
 
 
@@ -57,11 +58,12 @@ def _verify(
     query: str, candidates: Iterable[str], max_errors: int
 ) -> list[Variant]:
     """Filter candidates by true edit distance; sort deterministically."""
-    verified = []
-    for token in candidates:
-        distance = bounded_edit_distance(query, token, max_errors)
-        if distance is not None:
-            verified.append(Variant(distance, token))
+    verified = [
+        Variant(distance, token)
+        for token, distance in bounded_distances(
+            query, candidates, max_errors
+        )
+    ]
     verified.sort()
     return verified
 
@@ -215,7 +217,7 @@ class PartitionedFastSSIndex:
 
 
 class BruteForceVariants:
-    """Reference variant generator: linear scan with banded verification."""
+    """Reference variant generator: linear scan with bounded verification."""
 
     def __init__(self, tokens: Iterable[str], max_errors: int = 2):
         self.max_errors = max_errors

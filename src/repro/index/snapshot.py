@@ -53,7 +53,20 @@ fss_?_off      I     [optional] bucket-signature offsets (?: s/p/x =
 fss_?_blob     blob  short/prefix/suffix table); signatures sorted by
 fss_?_starts   q     UTF-8 bytes; ``starts`` spans token-id runs in
 fss_?_tok      i     ``tok`` (vocabulary token ids)
+fss_?_hash     I     signature lookup: open-addressing slots holding
+                     ``rank+1`` (0 = empty), a power of two >= 1.25 ×
+                     signatures; see below
 =============  ====  =====================================================
+
+FastSS signature lookup: a signature's home slot is
+``zlib.crc32(utf8) & (slots - 1)``; probing walks forward one slot at
+a time (wrapping) until a slot names a signature whose length and bytes
+match (hit) or the slot is 0 (miss).  A snapshot whose ``fss_*``
+sections lack ``fss_?_hash`` (written before the section existed)
+still loads: its embedded FastSS index is ignored and
+:meth:`SnapshotCorpusIndex.variant_generator` rebuilds one from the
+vocabulary.  Signatures stay byte-sorted, so older loaders, which
+ignore the unknown hash sections, read new files unchanged.
 
 Versioning rules: the magic changes only on incompatible layout
 changes; unknown *extra* sections are ignored by loaders (forward
@@ -138,14 +151,17 @@ _SECTION_FORMATS: dict[str, str | None] = {
     "pidx_counts": "q",
     "fss_s_off": "I",
     "fss_s_blob": None,
+    "fss_s_hash": "I",
     "fss_s_starts": "q",
     "fss_s_tok": "i",
     "fss_p_off": "I",
     "fss_p_blob": None,
+    "fss_p_hash": "I",
     "fss_p_starts": "q",
     "fss_p_tok": "i",
     "fss_x_off": "I",
     "fss_x_blob": None,
+    "fss_x_hash": "I",
     "fss_x_starts": "q",
     "fss_x_tok": "i",
 }
@@ -172,15 +188,13 @@ def _align8(value: int) -> int:
 
 def _string_table(strings: list[str]) -> tuple[bytes, bytes]:
     """``(u32 offsets, blob)`` for strings in the given (id) order."""
-    offsets = array("I", [0])
-    chunks = []
-    total = 0
-    for text in strings:
-        encoded = text.encode("utf-8")
-        chunks.append(encoded)
-        total += len(encoded)
-        offsets.append(total)
-    return _le_bytes(offsets), b"".join(chunks)
+    return _encoded_table([text.encode("utf-8") for text in strings])
+
+
+def _encoded_table(encoded: list[bytes]) -> tuple[bytes, bytes]:
+    """``(u32 offsets, blob)`` for already-encoded strings."""
+    offsets = array("I", itertools.accumulate(map(len, encoded), initial=0))
+    return _le_bytes(offsets), b"".join(encoded)
 
 
 def _le_bytes(column: array) -> bytes:
@@ -191,29 +205,57 @@ def _le_bytes(column: array) -> bytes:
     return column.tobytes()
 
 
+def _slot_count(signatures: int) -> int:
+    """Slots of a signature hash table: a power of two >= 1.25 × n."""
+    size = 1
+    while size * 4 < signatures * 5:
+        size <<= 1
+    return size
+
+
+def _signature_slots(encoded: list[bytes]) -> bytes:
+    """The ``fss_?_hash`` section over byte-sorted signatures.
+
+    Open addressing with linear probing: a signature's home slot is
+    ``crc32(utf-8 bytes) & (size - 1)`` and each slot holds its
+    ``rank + 1`` (0 = empty).  ``crc32``, not ``hash()``: the builtin is
+    salted per process, the file is not.
+    """
+    size = _slot_count(len(encoded))
+    mask = size - 1
+    slots = array("I", bytes(4 * size))
+    for rank, home in enumerate(map(zlib.crc32, encoded), start=1):
+        slot = home & mask
+        while slots[slot]:
+            slot = (slot + 1) & mask
+        slots[slot] = rank
+    return _le_bytes(slots)
+
+
 def _bucket_sections(
     buckets: dict[str, list[str]], token_ids: dict[str, int]
-) -> tuple[bytes, bytes, bytes, bytes]:
-    """Serialize one FastSS bucket table (off, blob, starts, tok)."""
+) -> tuple[bytes, bytes, bytes, bytes, bytes]:
+    """Serialize one FastSS bucket table (off, blob, starts, tok, hash)."""
     signatures = sorted(buckets, key=lambda s: s.encode("utf-8"))
-    off, blob = _string_table(signatures)
-    starts = array("q", [0])
-    tokens = array("i")
-    total = 0
-    for signature in signatures:
-        members = buckets[signature]
-        for token in members:
-            member_id = token_ids.get(token)
-            if member_id is None:
-                raise StorageError(
-                    f"FastSS bucket token {token!r} is not in the "
-                    f"corpus vocabulary; snapshots can only embed "
-                    f"generators built over the corpus tokens"
-                )
-            tokens.append(member_id)
-        total += len(members)
-        starts.append(total)
-    return off, blob, _le_bytes(starts), _le_bytes(tokens)
+    encoded = [signature.encode("utf-8") for signature in signatures]
+    members = [buckets[signature] for signature in signatures]
+    off, blob = _encoded_table(encoded)
+    starts = array("q", itertools.accumulate(map(len, members), initial=0))
+    try:
+        tokens = array(
+            "i",
+            map(token_ids.__getitem__, itertools.chain.from_iterable(members)),
+        )
+    except KeyError as error:
+        raise StorageError(
+            f"FastSS bucket token {error.args[0]!r} is not in the "
+            f"corpus vocabulary; snapshots can only embed "
+            f"generators built over the corpus tokens"
+        ) from None
+    return (
+        off, blob, _le_bytes(starts), _le_bytes(tokens),
+        _signature_slots(encoded),
+    )
 
 
 # Build-side fan-out state.  Set in the parent *before* the fork pool
@@ -470,9 +512,12 @@ def _add_fastss_sections(add, variant_index, token_ids) -> dict | None:
         # skip the sections; loaders rebuild from the vocabulary.
         return None
     for tag, buckets in tables.items():
-        off, blob, starts, tok = _bucket_sections(buckets, token_ids)
+        off, blob, starts, tok, slots = _bucket_sections(
+            buckets, token_ids
+        )
         add(f"fss_{tag}_off", off)
         add(f"fss_{tag}_blob", blob)
+        add(f"fss_{tag}_hash", slots)
         add(f"fss_{tag}_starts", starts)
         add(f"fss_{tag}_tok", tok)
     return meta
@@ -641,9 +686,11 @@ class _StringTable:
     """Read-only id ↔ string table over (offsets, blob) sections.
 
     ``find`` binary-searches by UTF-8 bytes and therefore requires the
-    table to be byte-sorted (vocabulary and FastSS signatures are; the
-    path table is id-ordered and only ever indexed).  Decoded strings
-    are memoized up to a bound so hot tokens decode once.
+    table to be byte-sorted (the vocabulary is; the path table is
+    id-ordered and only ever indexed).  FastSS signature tables are not
+    bisected: :class:`_SnapshotBuckets` finds them through their
+    ``fss_?_hash`` slots.  Decoded strings are memoized up to a bound
+    so hot tokens decode once.
     """
 
     __slots__ = ("_offsets", "_blob", "_decoded")
@@ -986,23 +1033,59 @@ class _LazyInvertedIndex:
 
 
 class _SnapshotBuckets:
-    """dict-like FastSS bucket table over fss_* sections (read-only)."""
+    """dict-like FastSS bucket table over fss_* sections (read-only).
 
-    __slots__ = ("_signatures", "_starts", "_tokens", "_vocab_table")
+    ``get`` is one hash probe: crc32 of the signature's UTF-8 bytes
+    picks a home slot in ``fss_?_hash``, and linear probing walks to
+    the first slot whose signature has the same length and bytes, or to
+    an empty slot (absent).  The walk is capped at the table size, so a
+    damaged table with no empty slot cannot loop.
+    """
 
-    def __init__(self, signatures: _StringTable, starts, tokens,
+    __slots__ = (
+        "_offsets", "_blob", "_slots", "_mask", "_starts", "_tokens",
+        "_vocab_table",
+    )
+
+    def __init__(self, offsets, blob, slots, starts, tokens,
                  vocab_table: _StringTable):
-        self._signatures = signatures
+        size = len(slots)
+        if size == 0 or size & (size - 1):
+            raise StorageError(
+                f"FastSS hash section has {size} slots, not a power "
+                f"of two"
+            )
+        self._offsets = offsets
+        self._blob = blob
+        self._slots = slots
+        self._mask = size - 1
         self._starts = starts
         self._tokens = tokens
         self._vocab_table = vocab_table
 
     def __len__(self) -> int:
-        return len(self._signatures)
+        return len(self._offsets) - 1
 
     def get(self, signature: str) -> list[str] | None:
-        rank = self._signatures.find(signature)
-        if rank < 0:
+        probe = signature.encode("utf-8")
+        length = len(probe)
+        offsets = self._offsets
+        blob = self._blob
+        slots = self._slots
+        mask = self._mask
+        slot = zlib.crc32(probe) & mask
+        for _ in range(mask + 1):
+            rank = slots[slot] - 1
+            if rank < 0:
+                return None
+            lo = offsets[rank]
+            if (
+                offsets[rank + 1] - lo == length
+                and blob[lo : lo + length] == probe
+            ):
+                break
+            slot = (slot + 1) & mask
+        else:
             return None
         lo, hi = self._starts[rank], self._starts[rank + 1]
         get_str = self._vocab_table.get_str
@@ -1180,9 +1263,10 @@ class SnapshotCorpusIndex(QueryEngineMixin):
     ) -> VariantGenerator:
         """A variant generator over this corpus's vocabulary.
 
-        Served from the embedded FastSS sections when present and built
-        with a radius >= ``max_errors``; otherwise (no sections, or a
-        larger radius requested) a fresh index is built from the
+        Served from the embedded FastSS sections when present (with
+        their ``fss_?_hash`` lookup sections) and built with a radius
+        >= ``max_errors``; otherwise (no sections, no hash sections, or
+        a larger radius requested) a fresh index is built from the
         vocabulary — correct either way, just slower to construct.
         """
         embedded = self._fastss_index()
@@ -1203,17 +1287,20 @@ class SnapshotCorpusIndex(QueryEngineMixin):
         if self._fastss is not None:
             return self._fastss
         fss_meta = self._meta.get("fastss")
-        if not fss_meta or "fss_s_off" not in self._sections.table:
-            return None
         sections = self._sections
+        if not fss_meta or any(
+            f"fss_{tag}_hash" not in sections.table for tag in "spx"
+        ):
+            # No embedded FastSS, or one written before the hash
+            # sections existed: the caller rebuilds from the vocabulary.
+            return None
         vocab_table = self.vocabulary._table
 
         def bucket_table(tag: str) -> _SnapshotBuckets:
             return _SnapshotBuckets(
-                _StringTable(
-                    sections.column(f"fss_{tag}_off"),
-                    sections.blob(f"fss_{tag}_blob"),
-                ),
+                sections.column(f"fss_{tag}_off"),
+                sections.blob(f"fss_{tag}_blob"),
+                sections.column(f"fss_{tag}_hash"),
                 sections.column(f"fss_{tag}_starts"),
                 sections.column(f"fss_{tag}_tok"),
                 vocab_table,

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import XCleanConfig
 from repro.core.slca_cleaner import ELCACleanSuggester, SLCACleanSuggester
 from repro.eval.experiments import dblp_setting
-from repro.exceptions import QueryError
+from repro.exceptions import ConfigurationError, QueryError
 from repro.index.corpus import build_corpus_index
 from repro.index.snapshot import build_snapshot, load_snapshot
 from repro.xmltree.builder import paper_example_tree
@@ -86,6 +86,26 @@ class TestStats:
         assert stats.groups_processed == 3
         assert stats.postings_read == 8
         assert stats.postings_skipped == 1
+
+
+class TestNodeTypeOnlyMethods:
+    """partial_rows/suggest_explained read the node-type pool, which the
+    SLCA/ELCA scorer never fills: they must refuse, not return empty."""
+
+    @pytest.mark.parametrize(
+        "cls, label",
+        [(SLCACleanSuggester, "SLCA"), (ELCACleanSuggester, "ELCA")],
+    )
+    def test_refused_while_suggest_answers(self, corpus, cls, label):
+        suggester = cls(
+            corpus,
+            config=XCleanConfig(max_errors=1, gamma=None, min_depth=2),
+        )
+        assert suggester.suggest("tree icdt")
+        with pytest.raises(ConfigurationError, match=label):
+            suggester.partial_rows("tree icdt")
+        with pytest.raises(ConfigurationError, match=label):
+            suggester.suggest_explained("tree icdt")
 
 
 class TestSnapshotBacked:

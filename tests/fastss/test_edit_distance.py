@@ -1,6 +1,6 @@
-"""Tests for edit distance: exact values, metric axioms, banded variant."""
+"""Tests for edit distance: exact values, metric axioms, bounded variant."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fastss.edit_distance import (
@@ -10,6 +10,42 @@ from repro.fastss.edit_distance import (
 )
 
 words = st.text(alphabet="abcde", max_size=10)
+
+#: ASCII, accented Latin, CJK and an astral-plane character: the
+#: verifier must compare whole code points, whatever their width.
+wide_alphabet = "abcdeéüß数据库😀"
+long_words = st.one_of(
+    st.text(alphabet=wide_alphabet, max_size=80),
+    # Past one 64-bit word of the bit-parallel verifier.
+    st.text(alphabet=wide_alphabet, min_size=60, max_size=80),
+)
+
+
+@st.composite
+def nearby_pairs(draw):
+    """``(s, t)`` with ``t`` up to five random edits away from ``s``,
+    so distances land around the limits, not far above them."""
+    s = draw(long_words)
+    t = list(s)
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        op = draw(st.sampled_from("ids"))
+        char = draw(st.sampled_from(wide_alphabet))
+        if op == "i":
+            t.insert(draw(st.integers(0, len(t))), char)
+        elif t:
+            at = draw(st.integers(0, len(t) - 1))
+            if op == "d":
+                del t[at]
+            else:
+                t[at] = char
+    return s, "".join(t)
+
+
+verifier_pairs = st.one_of(
+    st.tuples(words, words),
+    st.tuples(long_words, long_words),
+    nearby_pairs(),
+)
 
 
 class TestExactValues:
@@ -90,8 +126,10 @@ class TestBounded:
     def test_exactly_at_limit(self):
         assert bounded_edit_distance("gerat", "great", 2) == 2
 
-    @given(words, words, st.integers(min_value=0, max_value=4))
-    def test_agrees_with_exact(self, s, t, limit):
+    @settings(max_examples=300)
+    @given(verifier_pairs, st.integers(min_value=0, max_value=4))
+    def test_agrees_with_exact(self, pair, limit):
+        s, t = pair
         exact = edit_distance(s, t)
         bounded = bounded_edit_distance(s, t, limit)
         if exact <= limit:

@@ -8,11 +8,14 @@ import pytest
 from repro.core.cleaner import XCleanSuggester
 from repro.core.config import XCleanConfig
 from repro.core.naive import NaiveCleaner
+from repro.eval.experiments import dblp_setting
 from repro.exceptions import StorageError
 from repro.fastss.generator import VariantGenerator
 from repro.index.corpus import build_corpus_index
 from repro.index.snapshot import (
     MAGIC,
+    _parse_table,
+    _write_sections,
     build_snapshot,
     load_snapshot,
     snapshot_or_corpus,
@@ -115,11 +118,23 @@ class TestRoundTrip:
         )
         loaded = load_snapshot(path)
         embedded = loaded.variant_generator(2)
+        assert embedded._index is loaded._fastss_index()
         fresh = VariantGenerator(
             corpus.vocabulary.tokens(), max_errors=2
         )
         for token in corpus.vocabulary:
             assert embedded.variants(token) == fresh.variants(token)
+
+    def test_generator_outside_vocabulary_rejected(
+        self, corpus, tmp_path
+    ):
+        generator = VariantGenerator(
+            [*corpus.vocabulary.tokens(), "zzzunknown"], max_errors=1
+        )
+        with pytest.raises(StorageError, match="'zzzunknown'"):
+            build_snapshot(
+                corpus, str(tmp_path / "bad.xcs3"), generator=generator
+            )
 
     def test_larger_radius_rebuilds_from_vocabulary(
         self, corpus, tmp_path
@@ -138,6 +153,125 @@ class TestRoundTrip:
         summary = verify_snapshot(snapshot_path)
         assert summary["bytes"] == os.path.getsize(snapshot_path)
         assert summary["sections"] > 10
+
+
+def _rewrite_sections(source: str, target: str, changes: dict) -> None:
+    """Copy snapshot ``source`` to ``target`` with the named sections'
+    payloads replaced (a ``None`` payload drops the section)."""
+    with open(source, "rb") as handle:
+        raw = handle.read()
+    sections = []
+    for name, (offset, length, _crc) in sorted(
+        _parse_table(raw).items(), key=lambda item: item[1][0]
+    ):
+        payload = changes.get(name, raw[offset : offset + length])
+        if payload is not None:
+            sections.append((name, payload))
+    _write_sections(target, sections)
+
+
+def _bucket_tables(index) -> dict:
+    """Tag (s/p/x) → bucket table of a partitioned FastSS index."""
+    return {
+        "s": index._short._buckets,
+        "p": index._prefix_buckets,
+        "x": index._suffix_buckets,
+    }
+
+
+class TestHashedSignatureLookup:
+    """The ``fss_?_hash`` slot tables over DBLP small."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        return dblp_setting("small")
+
+    @pytest.fixture(scope="class")
+    def built(self, setting, tmp_path_factory):
+        tokens = [
+            row[0] for row in setting.corpus.vocabulary.export_rows()
+        ]
+        generator = VariantGenerator(tokens, max_errors=3)
+        path = str(tmp_path_factory.mktemp("hash") / "dblp.xcs3")
+        build_snapshot(setting.corpus, path, generator=generator)
+        return path, generator._index
+
+    def test_every_signature_resolves_to_its_bucket(self, built):
+        path, memory = built
+        mapped = _bucket_tables(load_snapshot(path)._fastss_index())
+        for tag, in_memory in _bucket_tables(memory).items():
+            hashed = mapped[tag]
+            assert in_memory
+            assert len(hashed) == len(in_memory)
+            for signature, bucket in in_memory.items():
+                assert hashed.get(signature) == bucket
+
+    def test_absent_signatures_return_none(self, built):
+        path, memory = built
+        mapped = _bucket_tables(load_snapshot(path)._fastss_index())
+        for tag, in_memory in _bucket_tables(memory).items():
+            hashed = mapped[tag]
+            probes = ["", "qqqqqqqqqqqq", "ünïcødé", "数据库"]
+            probes += [sig + "\x00" for sig in list(in_memory)[:500]]
+            probes += [sig + "zz" for sig in list(in_memory)[:500]]
+            for probe in probes:
+                if probe not in in_memory:
+                    assert hashed.get(probe) is None
+
+    def test_hash_table_is_power_of_two_and_loose(self, built):
+        path, memory = built
+        table = load_snapshot(path)._sections.table
+        for tag, buckets in _bucket_tables(memory).items():
+            slots = table[f"fss_{tag}_hash"][1] // 4
+            assert slots & (slots - 1) == 0
+            assert slots * 4 >= len(buckets) * 5
+            assert slots * 4 < len(buckets) * 10
+
+    def test_without_hash_sections_rebuilds_from_vocabulary(
+        self, setting, built, tmp_path
+    ):
+        path, memory = built
+        older = str(tmp_path / "older.xcs3")
+        # As written before the hash sections existed.
+        _rewrite_sections(
+            path, older, {f"fss_{tag}_hash": None for tag in "spx"}
+        )
+        verify_snapshot(older)
+        loaded = load_snapshot(older)
+        assert "fss_s_off" in loaded._sections.table
+        assert loaded._fastss_index() is None
+        fallback = loaded.variant_generator(2)
+        embedded = load_snapshot(path).variant_generator(2)
+        for token in sorted(setting.corpus.vocabulary.tokens())[::7]:
+            for probe in (token, token[1:], token + "e"):
+                assert fallback.variants(probe) == embedded.variants(probe)
+
+    def test_damaged_hash_tables_fail_safely(self, built, tmp_path):
+        path, memory = built
+        slots = load_snapshot(path)._sections.table["fss_s_hash"][1] // 4
+        odd = str(tmp_path / "odd.xcs3")
+        _rewrite_sections(path, odd, {"fss_s_hash": bytes(4 * 3)})
+        with pytest.raises(StorageError, match="power of two"):
+            load_snapshot(odd).variant_generator(2)
+        # No empty slot: a miss ends after one lap instead of looping.
+        full = str(tmp_path / "full.xcs3")
+        _rewrite_sections(
+            path, full, {"fss_s_hash": struct.pack("<I", 1) * slots}
+        )
+        buckets = load_snapshot(full)._fastss_index()._short._buckets
+        first = min(memory._short._buckets, key=lambda s: s.encode())
+        assert buckets.get(first) == memory._short._buckets[first]
+        assert buckets.get("qqqqqqqq") is None
+
+    def test_flipped_hash_byte_fails_verify(self, built, tmp_path):
+        path, _memory = built
+        raw = bytearray(open(path, "rb").read())
+        offset, length, _crc = _parse_table(bytes(raw))["fss_s_hash"]
+        raw[offset + length // 2] ^= 0x01
+        damaged = tmp_path / "damaged.xcs3"
+        damaged.write_bytes(raw)
+        with pytest.raises(StorageError, match="fss_s_hash"):
+            verify_snapshot(str(damaged))
 
 
 class TestEngineParity:
